@@ -29,10 +29,11 @@
 //! wholesale rather than misdecoding them.
 //!
 //! Writes are crash-safe: the file is assembled in memory, written to a
-//! sibling temp file, fsynced, and renamed over the target
-//! ([`SnapshotWriter::write_atomic`]) — a reader never observes a
+//! sibling temp file unique to that save, fsynced, and renamed over the
+//! target ([`SnapshotWriter::write_atomic`]) — a reader never observes a
 //! half-written snapshot under the final name, only under the temp name
-//! (which it ignores).
+//! (which it ignores). Concurrent saves to one path are
+//! last-rename-wins, never torn.
 
 #![deny(missing_docs)]
 
@@ -40,6 +41,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
+use ssd_base::sync::{AtomicU64, Ordering};
 use ssd_base::{crc32, ByteReader, ByteWriter};
 use ssd_obs::Recorder;
 
@@ -322,20 +324,27 @@ impl SnapshotWriter {
         w.into_bytes()
     }
 
-    /// Writes the snapshot crash-safely: serialize to `<path>.tmp` in the
-    /// same directory, fsync, rename over `path`, then best-effort fsync
-    /// the directory. Returns the byte size written. A crash at any point
-    /// leaves either the old file or the new file under `path`, never a
-    /// torn mix.
+    /// Writes the snapshot crash-safely: serialize to a fresh temp sibling
+    /// of `path` (see [`tmp_path`]) opened with `create_new`, fsync,
+    /// rename over `path`, then best-effort fsync the directory. Returns
+    /// the byte size written. A crash at any point leaves either the old
+    /// file or the new file under `path`, never a torn mix. Each save
+    /// stages through its own sibling, so concurrent saves to one path
+    /// are last-rename-wins: the final file is one writer's whole image.
+    /// A crashed writer may leave its `*.tmp` sibling behind; loaders
+    /// never read it.
     pub fn write_atomic(self, path: &Path) -> std::io::Result<u64> {
         let bytes = self.into_bytes();
         let tmp = tmp_path(path);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
+        // An `open` failure leaves nothing of ours to clean up; from here
+        // on the sibling is this save's alone and is removed on error.
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)?;
+        let staged = f.write_all(&bytes).and_then(|()| f.sync_all());
+        drop(f);
+        if let Err(e) = staged.and_then(|()| std::fs::rename(&tmp, path)) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
@@ -349,10 +358,17 @@ impl SnapshotWriter {
     }
 }
 
-/// The temp sibling used by [`SnapshotWriter::write_atomic`].
+/// A temp sibling for one [`SnapshotWriter::write_atomic`] call:
+/// `<name>.<pid>.<seq>.tmp` in `path`'s directory. The pid separates
+/// processes and the process-wide `seq` separates saves within one, so
+/// no two saves ever share a staging file.
 fn tmp_path(path: &Path) -> std::path::PathBuf {
+    // Relaxed: the counter only hands out distinct values; no other
+    // memory is published through it.
+    static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -580,20 +596,117 @@ mod tests {
         assert_eq!(snap.rejected[0].tag, Some(tag::LABEL_POOL));
     }
 
+    /// A fresh per-process, per-test scratch directory.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ssd-snapshot-test-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Names of `<target>.*.tmp` entries left in `dir`.
+    fn tmp_siblings(dir: &Path, target: &str) -> Vec<String> {
+        let prefix = format!("{target}.");
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix) && n.ends_with(".tmp"))
+            .collect()
+    }
+
     #[test]
     fn atomic_write_roundtrips_and_cleans_tmp() {
-        let dir = std::env::temp_dir().join("ssd_snapshot_test_atomic");
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = test_dir("atomic");
         let path = dir.join("warm.snap");
         let mut w = SnapshotWriter::new().with_written_at(5);
         w.section(tag::DFA, 1, vec![1, 2, 3]);
         let n = w.write_atomic(&path).unwrap();
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, n);
-        assert!(!tmp_path(&path).exists(), "temp sibling renamed away");
+        assert_eq!(
+            tmp_siblings(&dir, "warm.snap"),
+            Vec::<String>::new(),
+            "temp sibling renamed away"
+        );
         let snap = parse(&on_disk).unwrap();
         assert_eq!(snap.sections.len(), 1);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_save_removes_its_tmp_sibling() {
+        let dir = test_dir("failed");
+        // A non-empty directory under the target name makes the rename fail.
+        let path = dir.join("warm.snap");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        let mut w = SnapshotWriter::new();
+        w.section(tag::DFA, 1, vec![1, 2, 3]);
+        assert!(w.write_atomic(&path).is_err());
+        assert_eq!(tmp_siblings(&dir, "warm.snap"), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_are_last_rename_wins() {
+        const ROUNDS: usize = 64;
+        let dir = test_dir("concurrent");
+        let path = dir.join("warm.snap");
+        // Different stamps and payload sizes, so a torn mix of the two
+        // images can never pass for either one.
+        let image = |stamp: u64| {
+            let mut w = SnapshotWriter::new().with_written_at(stamp);
+            w.section(tag::DFA, stamp, vec![stamp as u8; 4096 * stamp as usize]);
+            w
+        };
+        let images = [image(1).into_bytes(), image(2).into_bytes()];
+        let errors: Vec<String> = std::thread::scope(|scope| {
+            let writers: Vec<_> = [1u64, 2]
+                .into_iter()
+                .map(|stamp| {
+                    let (path, images) = (&path, &images);
+                    scope.spawn(move || {
+                        let mut errors = Vec::new();
+                        for round in 0..ROUNDS {
+                            if let Err(e) = image(stamp).write_atomic(path) {
+                                errors.push(format!("writer {stamp} round {round}: {e}"));
+                                continue;
+                            }
+                            // Whatever sits under the final name is one
+                            // writer's complete image, never a hybrid.
+                            match std::fs::read(path) {
+                                Ok(seen) if images.contains(&seen) => {}
+                                Ok(seen) => errors.push(format!(
+                                    "writer {stamp} round {round}: torn file of {} bytes",
+                                    seen.len()
+                                )),
+                                Err(e) => errors.push(format!("writer {stamp} read: {e}")),
+                            }
+                        }
+                        errors
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(
+            errors.is_empty(),
+            "{} failed saves, first: {}",
+            errors.len(),
+            errors[0]
+        );
+        let on_disk = std::fs::read(&path).unwrap();
+        assert!(
+            images.contains(&on_disk),
+            "final file is one writer's whole image"
+        );
+        let snap = parse(&on_disk).unwrap();
+        assert!(snap.rejected.is_empty());
+        assert_eq!(snap.sections.len(), 1);
+        assert_eq!(tmp_siblings(&dir, "warm.snap"), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

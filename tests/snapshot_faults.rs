@@ -7,6 +7,7 @@
 //! session's. No input may panic.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ssd::base::SharedInterner;
@@ -46,7 +47,11 @@ fn warmed_image() -> (Vec<u8>, Vec<bool>) {
         .iter()
         .map(|q| sess.satisfiable(q, &s).unwrap().satisfiable)
         .collect();
-    let path = tmp("warm.snap");
+    // Tests run in parallel and each calls this, so every call saves to
+    // its own file rather than one shared `warm.snap`.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = tmp(&format!("warm-{n}.snap"));
     sess.save_snapshot(&path, &[&s]).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
